@@ -10,19 +10,17 @@
 // queries (-verb distance), nearest-neighbor queries (-verb nearest),
 // range queries (-verb range), or a read-mostly mix (-verb mixed). Query
 // points are drawn around -hotspots hot centers with -spread jitter, so
-// concurrent clients land in the same coalescer cells the way real
-// workloads hammer the same map regions; raise -spread (or set -hotspots
-// 0) for uniform traffic that rarely coalesces.
+// concurrent clients land in the same regions the way real workloads
+// hammer the same map areas; raise -spread (or set -hotspots 0) for
+// uniform traffic that rarely reuses a cached graph.
 //
 // Before and after the run obsload scrapes the daemon's /metrics and
-// reports the deltas that matter for coalescing: coalesced batches,
-// requests answered by another request's batch, and the engine's
-// visibility-graph builds — so a coalescing-on vs -off comparison is one
-// flag flip (restart obsd with -no-coalesce).
+// reports the engine's graph-reuse deltas: visibility-graph builds and
+// graph-cache hits.
 //
 // With -traces N, after the run obsload pulls the daemon's flight recorder
 // (/debug/traces) and prints the span trees of the N slowest retained
-// traces — per-stage timing (admission, coalescing, graph build, Dijkstra,
+// traces — per-stage timing (admission, graph build, Dijkstra,
 // WAL append, fsync) for the worst requests of the run, straight from the
 // server. The daemon samples normal-tier traces (obsd -trace-sample), so
 // under low sampling the recorder may hold fewer than N; errors and slow
@@ -59,10 +57,8 @@ type summary struct {
 	P95ms    float64 `json:"p95_ms"`
 	P99ms    float64 `json:"p99_ms"`
 
-	CoalesceBatches uint64 `json:"coalesce_batches"`
-	CoalesceHits    uint64 `json:"coalesce_hits"`
-	GraphBuilds     uint64 `json:"graph_builds"`
-	GraphCacheHits  uint64 `json:"graph_cache_hits"`
+	GraphBuilds    uint64 `json:"graph_builds"`
+	GraphCacheHits uint64 `json:"graph_cache_hits"`
 }
 
 func main() {
@@ -109,8 +105,8 @@ func run(addr string, clients, requests int, duration time.Duration, verb, name 
 	}
 	base := "http://" + addr
 
-	// Hot centers shared by every client: concurrency inside a region is
-	// what gives the coalescer something to merge.
+	// Hot centers shared by every client: repeated regions are what the
+	// engine's graph cache reuses.
 	centers := make([][2]float64, 0, hotspots)
 	crng := rand.New(rand.NewSource(seed))
 	for i := 0; i < hotspots; i++ {
@@ -229,10 +225,8 @@ func run(addr string, clients, requests int, duration time.Duration, verb, name 
 		P95ms:    pctl(latencies, 95),
 		P99ms:    pctl(latencies, 99),
 
-		CoalesceBatches: after["obsd_coalesce_batches_total"] - before["obsd_coalesce_batches_total"],
-		CoalesceHits:    after["obsd_coalesce_hits_total"] - before["obsd_coalesce_hits_total"],
-		GraphBuilds:     after["obstacles_query_graph_builds_total"] - before["obstacles_query_graph_builds_total"],
-		GraphCacheHits:  after["obstacles_graph_cache_hits_total"] - before["obstacles_graph_cache_hits_total"],
+		GraphBuilds:    after["obstacles_query_graph_builds_total"] - before["obstacles_query_graph_builds_total"],
+		GraphCacheHits: after["obstacles_graph_cache_hits_total"] - before["obstacles_graph_cache_hits_total"],
 	}
 	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -242,8 +236,7 @@ func run(addr string, clients, requests int, duration time.Duration, verb, name 
 	fmt.Printf("%d clients x %s: %d requests (%d errors) in %.2fs = %.0f req/s\n",
 		sum.Clients, verb, sum.Requests, sum.Errors, sum.Seconds, sum.RPS)
 	fmt.Printf("latency ms: p50 %.2f  p95 %.2f  p99 %.2f\n", sum.P50ms, sum.P95ms, sum.P99ms)
-	fmt.Printf("coalescing: %d batches, %d rides; engine: %d graph builds, %d cache hits\n",
-		sum.CoalesceBatches, sum.CoalesceHits, sum.GraphBuilds, sum.GraphCacheHits)
+	fmt.Printf("engine: %d graph builds, %d graph-cache hits\n", sum.GraphBuilds, sum.GraphCacheHits)
 	if traces > 0 {
 		if err := printSlowest(base, traces); err != nil {
 			return fmt.Errorf("fetch traces: %w", err)

@@ -548,65 +548,6 @@ func TestDurableDeltaBytesIndependentOfObstacles(t *testing.T) {
 	}
 }
 
-// TestDurableLegacyFsyncPerCommit pins the negative-knob escape hatch: each
-// commit pays its own fsync under the update lock, no batches form, and the
-// file round-trips.
-func TestDurableLegacyFsyncPerCommit(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "legacy.obs")
-	opts := DefaultOptions()
-	opts.GroupCommitMaxBatch = -1
-	db, err := Open(path, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.AddObstacleRects(R(200, 200, 240, 240)); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.AddDataset("P", setupPts(10)); err != nil {
-		t.Fatal(err)
-	}
-	const workers, per = 4, 10
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				if _, err := db.InsertPoints("P", wpt(w, i)); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		t.Fatal(err)
-	}
-	st := db.PersistStats()
-	if st.Fsyncs != st.Commits || st.GroupCommits != 0 || st.MaxBatch > 1 {
-		t.Fatalf("legacy mode batched: %+v", st)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Open(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer back.Close()
-	inv := inventory(t, back)
-	for w := 0; w < workers; w++ {
-		for i := 0; i < per; i++ {
-			if !inv[wpt(w, i)] {
-				t.Fatalf("legacy insert (%d,%d) lost", w, i)
-			}
-		}
-	}
-}
-
 // TestDurableMultiWriterChurn is the race-mode stress: concurrent writers
 // insert and delete against a durable database while readers query, with a
 // small auto-checkpoint threshold so checkpoints interleave with group

@@ -12,8 +12,9 @@ import (
 
 // This file implements the batch multi-source distance primitives: one
 // visibility graph and one Dijkstra expansion per enlargement round serve an
-// entire target set, instead of one graph build and one expansion per pair
-// as in ObstructedDistance. The iterative range enlargement is the
+// entire target set, instead of one graph build and one expansion per pair.
+// With the graph cache enabled, single-pair ObstructedDistance is a
+// one-target call of the same path. The iterative range enlargement is the
 // multi-target generalization of compute_obstructed_distance (Fig 8): a
 // target's provisional distance d is final once the graph incorporates every
 // obstacle within d of the source (any shorter path would stay inside that
@@ -508,9 +509,9 @@ func NewGraphCacheAt(e *Engine, capacity int, epoch uint64) *GraphCache {
 }
 
 // EnableGraphCache attaches a graph cache of the given capacity to the
-// engine: BatchDistances and DistanceJoin reuse expanded graph states across
-// calls. Capacity <= 0 detaches the cache. Not safe to call while queries
-// are in flight; configure the engine before serving.
+// engine: ObstructedDistance, BatchDistances and DistanceJoin reuse expanded
+// graph states across calls. Capacity <= 0 detaches the cache. Not safe to
+// call while queries are in flight; configure the engine before serving.
 func (e *Engine) EnableGraphCache(capacity int) {
 	if capacity <= 0 {
 		e.cache = nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -260,6 +261,30 @@ func TestGraphCacheReuse(t *testing.T) {
 	}
 	if eng.GraphCacheStats().Misses < 2 {
 		t.Fatalf("expected a miss for the distant source: %+v", eng.GraphCacheStats())
+	}
+
+	// Single-pair distance goes through the same cache: after a cold call,
+	// a nearer target from the same source reuses the warm graph.
+	pair := NewEngine(s.obst, DefaultEngineOptions())
+	pair.EnableGraphCache(2)
+	near, far := targets[0], targets[1]
+	if base.Dist(near) > base.Dist(far) {
+		near, far = far, near
+	}
+	for i, p := range []geom.Point{far, near} {
+		got, st, err := pair.NewSession(context.Background()).ObstructedDistance(base, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := s.bruteDist(base, p); !sameDist(got, want) {
+			t.Fatalf("pair %d: cached %v, oracle %v", i, got, want)
+		}
+		if wantBuilds := uint64(1 - i); st.GraphBuilds != wantBuilds {
+			t.Fatalf("pair %d built %d graphs, want %d", i, st.GraphBuilds, wantBuilds)
+		}
+	}
+	if cs := pair.GraphCacheStats(); cs.Hits != 1 || cs.Misses != 1 {
+		t.Fatalf("single-pair cache traffic %+v, want one miss then one hit", cs)
 	}
 }
 

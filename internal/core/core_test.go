@@ -134,16 +134,30 @@ func TestObstructedDistanceMatchesOracle(t *testing.T) {
 				a := s.freePoint(rng, 100)
 				b := s.freePoint(rng, 100)
 				want := s.bruteDist(a, b)
-				got, err := eng.ObstructedDistance(a, b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Abs(got-want) > distTol {
-					t.Fatalf("scene %d sweep=%v: dO(%v,%v) = %v, oracle %v",
-						sceneIdx, eng.opts.UseSweep, a, b, got, want)
-				}
-				if got < a.Dist(b)-distTol {
-					t.Fatalf("lower bound violated: dO=%v < dE=%v", got, a.Dist(b))
+				// The uncached engine, then the same pair with the graph
+				// cache on: a cold call, a warm repeat, and a call after the
+				// region around a is invalidated.
+				cached := NewEngine(s.obst, eng.opts)
+				cached.EnableGraphCache(2)
+				for _, call := range []string{"uncached", "cold", "warm", "invalidated"} {
+					e := cached
+					switch call {
+					case "uncached":
+						e = eng
+					case "invalidated":
+						cached.InvalidateObstacleRegion(geom.R(a.X-1, a.Y-1, a.X+1, a.Y+1))
+					}
+					got, err := e.ObstructedDistance(a, b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Abs(got-want) > distTol {
+						t.Fatalf("scene %d sweep=%v %s: dO(%v,%v) = %v, oracle %v",
+							sceneIdx, eng.opts.UseSweep, call, a, b, got, want)
+					}
+					if got < a.Dist(b)-distTol {
+						t.Fatalf("%s: lower bound violated: dO=%v < dE=%v", call, got, a.Dist(b))
+					}
 				}
 			}
 		}

@@ -130,12 +130,30 @@ func (s *Session) ObstructedPath(a, b geom.Point) (_ []geom.Point, _ float64, st
 	return path, dist, st, nil
 }
 
-// ObstructedDistance computes dO(a, b) from scratch: it builds a local
-// visibility graph with the obstacles in the Euclidean range dE(a, b) around
-// a (as in Fig 7) and runs the iterative enlargement. It returns +Inf when b
-// is unreachable from a, including when either point lies strictly inside an
-// obstacle.
-func (s *Session) ObstructedDistance(a, b geom.Point) (_ float64, st Stats, _ error) {
+// ObstructedDistance computes dO(a, b). It returns +Inf when b is
+// unreachable from a, including when either point lies strictly inside an
+// obstacle. With the engine's graph cache enabled the pair is a one-target
+// batch (batchViaCache), so repeated pairs in one region reuse an expanded
+// graph. Without it, a local visibility graph is built with the obstacles in
+// the Euclidean range dE(a, b) around a (as in Fig 7) and the iterative
+// enlargement runs on it.
+func (s *Session) ObstructedDistance(a, b geom.Point) (float64, Stats, error) {
+	if s.e.cache != nil {
+		dists, st, err := s.batchViaCache(s.e.cache, a, []geom.Point{b})
+		// One pair is one distance computation, however many enlargement
+		// rounds the batch expansion needed to settle it.
+		st.DistComputations = min(st.DistComputations, 1)
+		if err != nil {
+			return 0, st, err
+		}
+		return dists[0], st, nil
+	}
+	return s.obstructedDistanceLocal(a, b)
+}
+
+// obstructedDistanceLocal is ObstructedDistance on a fresh query-local
+// graph, the path taken when the engine has no graph cache.
+func (s *Session) obstructedDistanceLocal(a, b geom.Point) (_ float64, st Stats, _ error) {
 	w := s.snap()
 	defer s.finishCall(&st, w)
 	st.Candidates = 1

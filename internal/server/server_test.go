@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	obstacles "repro"
@@ -423,6 +424,98 @@ func postRaw(t *testing.T, url, body string) (int, []byte) {
 	return resp.StatusCode, out
 }
 
+// TestConcurrentDistanceSharesGraphCache: N concurrent /v1/distance
+// requests in one region answer exactly what the uncached fresh-graph path
+// computes, and the engine's graph cache serves them with fewer than N
+// visibility-graph builds.
+func TestConcurrentDistanceSharesGraphCache(t *testing.T) {
+	db := newTestDB(t)
+	defer db.Close()
+	ts := httptest.NewServer(New(db, Config{}))
+	defer ts.Close()
+
+	// The source sits just west of an obstacle and the targets ring it, so
+	// the far-side targets are genuinely obstructed. Equal Euclidean
+	// distances keep every request within one cached graph's reuse range.
+	world := dataset.Generate(dataset.DefaultConfig(7, 60))
+	r := world.Rects[0]
+	src := obstacles.Pt(r.MinX-5, (r.MinY+r.MaxY)/2)
+	if inside, err := db.InsideObstacle(src); err != nil || inside {
+		t.Fatalf("source %v inside an obstacle (err %v)", src, err)
+	}
+	radius := 1.5 * max(r.MaxX-r.MinX, r.MaxY-r.MinY)
+	const N = 24
+	targets := make([]obstacles.Point, N)
+	for i := range targets {
+		a := 2 * math.Pi * float64(i) / N
+		targets[i] = obstacles.Pt(src.X+radius*math.Cos(a), src.Y+radius*math.Sin(a))
+	}
+
+	direct, err := obstacles.NewDatabaseFromRects(world.Rects, obstacles.Options{GraphCacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+	want := make([]float64, N)
+	for i, tgt := range targets {
+		if want[i], err = direct.ObstructedDistance(t.Context(), src, tgt); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	buildsBefore := db.Metrics().GraphBuilds
+	cacheBefore := db.GraphCacheStats()
+	got := make([]float64, N)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, tgt := range targets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body, _ := json.Marshal(DistanceRequest{A: Pt{src.X, src.Y}, B: Pt{tgt.X, tgt.Y}})
+			<-start
+			resp, err := http.Post(ts.URL+"/v1/distance", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var dr DistanceResponse
+			if err := json.NewDecoder(resp.Body).Decode(&dr); err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("request %d: status %d, decode error %v", i, resp.StatusCode, err)
+				return
+			}
+			got[i] = float64(dr.Dist)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	// The cached path sums a route's edges from the source, the fresh path
+	// from the target, so the two may differ in the last bits.
+	obstructed := 0
+	for i := range got {
+		if math.IsInf(got[i], 1) != math.IsInf(want[i], 1) || math.Abs(got[i]-want[i]) > 1e-9*want[i] {
+			t.Errorf("request %d: served %v != direct %v", i, got[i], want[i])
+		}
+		if want[i] > targets[i].Dist(src)+1e-9 {
+			obstructed++
+		}
+	}
+	if obstructed == 0 {
+		t.Error("no target is obstructed; the fixture does not exercise the enlargement")
+	}
+	if builds := db.Metrics().GraphBuilds - buildsBefore; builds >= N {
+		t.Errorf("%d graph builds for %d same-region requests, want fewer", builds, N)
+	}
+	if hits := db.GraphCacheStats().Hits - cacheBefore.Hits; hits == 0 {
+		t.Error("no graph-cache hits for same-region requests")
+	}
+}
+
 // TestUnreachableOnTheWire pins the +Inf encoding: JSON cannot carry
 // infinity, so an unreachable pair answers the string "Infinity", and the
 // typed client representation round-trips it back to +Inf.
@@ -462,7 +555,7 @@ func TestUnreachableOnTheWire(t *testing.T) {
 func TestDeadlinePropagation(t *testing.T) {
 	db := newTestDB(t)
 	defer db.Close()
-	s := New(db, Config{DisableCoalesce: true})
+	s := New(db, Config{})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 

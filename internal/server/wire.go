@@ -186,9 +186,8 @@ type DistanceRequest struct {
 }
 
 // DistanceResponse carries one obstructed distance ("Infinity" when B is
-// unreachable from A). Coalesced reports whether the answer was produced
-// by a coalesced batch another request led (false for batch leaders and
-// for requests that ran alone).
+// unreachable from A). Coalesced is always false, so omitempty never sends
+// it; the field stays declared for clients that still decode it.
 type DistanceResponse struct {
 	Dist      Dist `json:"dist"`
 	Coalesced bool `json:"coalesced,omitempty"`

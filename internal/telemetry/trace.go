@@ -13,8 +13,7 @@ import (
 // The tracing model: a Trace is one request's (or one query's) tree of
 // Spans, identified by a 128-bit TraceID; each Span is one timed stage with
 // a 64-bit SpanID, a parent pointer, key-value attributes, and links to
-// other traces (a coalesce rider links the leader's trace; a group-commit
-// rider links the committer's). Traces cross process boundaries through the
+// other traces (a group-commit rider links the committer's trace). Traces cross process boundaries through the
 // W3C `traceparent` header (see traceparent.go) and context boundaries
 // through ContextWithTrace / ContextWithSpan.
 //
@@ -334,8 +333,8 @@ func (s *Span) SetAttr(key string, value any) {
 }
 
 // AddLink records a causal reference to another trace — the span's work was
-// performed by (or shared with) that trace, as when a coalesce rider's
-// answer was computed under the leader's trace.
+// performed by (or shared with) that trace, as when a group-commit rider's
+// commit was made durable by another trace's fsync.
 func (s *Span) AddLink(id TraceID) {
 	if s == nil || id.IsZero() {
 		return

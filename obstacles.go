@@ -35,8 +35,10 @@ type Options struct {
 	// loading; slower to build, exercise for dynamic workloads.
 	InsertLoad bool
 	// GraphCacheSize is the number of expanded visibility-graph states the
-	// engine retains for reuse across batch-distance queries, clustering
-	// neighborhoods and join seeds (default 8; negative disables caching).
+	// engine retains for reuse across obstructed-distance and batch-distance
+	// queries, clustering neighborhoods and join seeds (default 8; negative
+	// disables caching, and ObstructedDistance then builds a fresh local
+	// graph per call).
 	// Concurrent queries on overlapping regions serialize on the shared
 	// cached graph; disjoint regions run fully in parallel.
 	GraphCacheSize int
@@ -47,11 +49,8 @@ type Options struct {
 	// databases.
 	WALCheckpointBytes int64
 	// GroupCommitMaxBatch caps how many commits one WAL fsync may cover
-	// when concurrent mutators batch (default 64; 0 selects the default).
-	// Negative selects fsync-per-commit legacy mode: every mutator writes
-	// and fsyncs its own commit while still holding the update lock — the
-	// pre-group-commit protocol, useful as a baseline and for minimum
-	// single-writer latency jitter. Ignored by in-memory databases.
+	// when concurrent mutators batch (default 64; 0 selects the default;
+	// negative values are rejected). Ignored by in-memory databases.
 	GroupCommitMaxBatch int
 	// GroupCommitMaxDelay bounds the committer's absorb window: how long
 	// it may keep collecting straggler commits before fsyncing a batch.
@@ -62,8 +61,8 @@ type Options struct {
 	// observed — a lone writer never waits. A positive value replaces the
 	// adaptive cap and makes the committer willing to absorb even before
 	// contention is observed (useful on lightly loaded boxes where
-	// commits rarely overlap an fsync); negative selects fsync-per-commit
-	// legacy mode. Ignored by in-memory databases.
+	// commits rarely overlap an fsync). Negative values are rejected.
+	// Ignored by in-memory databases.
 	GroupCommitMaxDelay time.Duration
 	// DebugAddr, when non-empty, starts an HTTP debug listener on the
 	// address (e.g. "localhost:6060") for the database's lifetime. It
@@ -132,6 +131,12 @@ func (o Options) validate() error {
 	}
 	if o.TraceSampleRate != 0 && !(o.TraceSampleRate > 0 && o.TraceSampleRate <= 1) {
 		return fmt.Errorf("obstacles: Options.TraceSampleRate %g out of range [0, 1]", o.TraceSampleRate)
+	}
+	if o.GroupCommitMaxBatch < 0 {
+		return fmt.Errorf("obstacles: Options.GroupCommitMaxBatch %d is negative; use 0 for the default (64)", o.GroupCommitMaxBatch)
+	}
+	if o.GroupCommitMaxDelay < 0 {
+		return fmt.Errorf("obstacles: Options.GroupCommitMaxDelay %v is negative; use 0 for the adaptive default", o.GroupCommitMaxDelay)
 	}
 	if o.RecoverBackoff < 0 {
 		return fmt.Errorf("obstacles: Options.RecoverBackoff %v is negative; use 0 for the default (500ms)", o.RecoverBackoff)
@@ -214,18 +219,6 @@ type TreeStats struct {
 	// Pages is the current size of the tree in pages.
 	Pages int
 }
-
-// ErrConcurrentUpdate was reported by incremental streams overtaken by a
-// mutation before the database became multi-versioned. Every read path —
-// one-shot verbs, Nearest/Closest streams, and the deprecated iterator
-// wrappers — now pins a consistent snapshot generation at start and is never
-// invalidated by concurrent InsertPoints, DeletePoints, AddObstacles or
-// RemoveObstacles.
-//
-// Deprecated: no API returns this error anymore. It remains exported only so
-// code written against the pre-MVCC contract (errors.Is checks on stream
-// errors) keeps compiling; such checks can simply be deleted.
-var ErrConcurrentUpdate = errors.New("obstacles: concurrent update invalidated this query")
 
 // Database holds one obstacle set and any number of named point datasets,
 // all indexed by R*-trees over simulated disk pages with LRU buffers. It is

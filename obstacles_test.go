@@ -160,24 +160,16 @@ func TestIteratorsPublic(t *testing.T) {
 	if err := db.AddDataset("shops", pts); err != nil {
 		t.Fatal(err)
 	}
-	it, err := db.NearestIterator("shops", Pt(50, 50))
-	if err != nil {
-		t.Fatal(err)
-	}
 	count, prev := 0, -1.0
-	for {
-		nb, ok := it.Next()
-		if !ok {
-			break
+	for nb, err := range db.Nearest(ctx, "shops", Pt(50, 50)) {
+		if err != nil {
+			t.Fatal(err)
 		}
 		if nb.Distance < prev {
 			t.Error("iterator not ascending")
 		}
 		prev = nb.Distance
 		count++
-	}
-	if it.Err() != nil {
-		t.Fatal(it.Err())
 	}
 	if count != len(pts) {
 		t.Errorf("iterator count = %d", count)
@@ -186,24 +178,16 @@ func TestIteratorsPublic(t *testing.T) {
 	if err := db.AddDataset("depots", []Point{Pt(95, 5), Pt(5, 50)}); err != nil {
 		t.Fatal(err)
 	}
-	cpIt, err := db.ClosestPairIterator("shops", "depots")
-	if err != nil {
-		t.Fatal(err)
-	}
 	count, prev = 0, -1.0
-	for {
-		p, ok := cpIt.Next()
-		if !ok {
-			break
+	for p, err := range db.Closest(ctx, "shops", "depots") {
+		if err != nil {
+			t.Fatal(err)
 		}
 		if p.Distance < prev {
 			t.Error("pair iterator not ascending")
 		}
 		prev = p.Distance
 		count++
-	}
-	if cpIt.Err() != nil {
-		t.Fatal(cpIt.Err())
 	}
 	if count != len(pts)*2 {
 		t.Errorf("pair iterator count = %d, want %d", count, len(pts)*2)

@@ -46,8 +46,8 @@ type PersistStats struct {
 	Commits, Checkpoints uint64
 	// Fsyncs counts WAL fsyncs issued by the commit path. Group commit
 	// batches concurrent mutators into shared fsyncs, so under contention
-	// Fsyncs is much smaller than Commits; with a single writer (or in
-	// fsync-per-commit legacy mode) the two advance together.
+	// Fsyncs is much smaller than Commits; with a single writer the two
+	// advance together.
 	Fsyncs uint64
 	// GroupCommits counts fsyncs that covered two or more commits.
 	GroupCommits uint64
@@ -111,7 +111,6 @@ type durableStore struct {
 	// Commit-pipeline configuration, immutable after Open.
 	maxBatch       int
 	maxDelay       time.Duration
-	legacy         bool // fsync-per-commit under the update lock
 	autoCheckpoint int64
 
 	// The fields below are guarded by Database.updateMu: only mutators
@@ -427,7 +426,6 @@ func openWithHooks(path string, opts Options, hooks openHooks) (*Database, error
 		hooks:          hooks,
 		maxBatch:       opts.GroupCommitMaxBatch,
 		maxDelay:       opts.GroupCommitMaxDelay,
-		legacy:         opts.GroupCommitMaxBatch < 0 || opts.GroupCommitMaxDelay < 0,
 		autoCheckpoint: opts.WALCheckpointBytes,
 		super:          sb,
 		seq:            seq,
@@ -442,10 +440,6 @@ func openWithHooks(path string, opts Options, hooks openHooks) (*Database, error
 	db.store.durableSeq = seq
 	db.store.tel = db.tel
 	db.installWALHook(log)
-	if db.store.legacy {
-		db.store.maxBatch = 1
-		db.store.maxDelay = 0
-	}
 	if created || replayed > 0 || sb.State.Root == pagefile.InvalidPage {
 		// A fresh file checkpoints the empty state so a crash right after
 		// Open reopens it; a replayed file finishes recovery with a full
@@ -632,10 +626,6 @@ func (db *Database) awaitCommit(errp *error, tkp **commitTicket) {
 // ops, touched dataset metas, obstacle ops) — assigns it the next sequence
 // number, and enqueues it. Callers hold the updateMu write side, which is
 // what orders staging: queue order equals sequence order equals WAL order.
-//
-// In fsync-per-commit legacy mode the commit is written and fsynced inline
-// instead (the pre-group-commit protocol: the mutator holds the update lock
-// through its own fsync), and no ticket is returned.
 func (db *Database) stageCommitLocked(obstChanged bool, sp *telemetry.Span) (*commitTicket, error) {
 	s := db.store
 	if s.closed {
@@ -674,13 +664,6 @@ func (db *Database) stageCommitLocked(obstChanged bool, sp *telemetry.Span) (*co
 	}
 	s.tel.stageSeconds.ObserveDuration(time.Since(stageStart))
 	sp.ChildDur("stage", stageStart, time.Since(stageStart))
-	if s.legacy {
-		s.writeBatch([]*commitTicket{tk}, tk)
-		if tk.err == nil && s.autoCheckpoint > 0 && s.log.Load().Size() >= s.autoCheckpoint {
-			s.lastCheckpointErr = db.checkpointLocked()
-		}
-		return nil, tk.err
-	}
 	s.qmu.Lock()
 	s.queue = append(s.queue, tk)
 	s.qmu.Unlock()

@@ -3,6 +3,7 @@ package obstacles
 import (
 	"context"
 	"errors"
+	"iter"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -246,13 +247,10 @@ func TestWritersDoNotWaitForReaders(t *testing.T) {
 
 	s := db.Snapshot()
 	defer s.Close()
-	it, err := db.NearestIterator("P", Pt(0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Stop()
-	if _, ok := it.Next(); !ok {
-		t.Fatal(it.Err())
+	nextPair, stopPairs := iter.Pull2(db.Closest(ctx, "P", "T"))
+	defer stopPairs()
+	if _, err, ok := nextPair(); !ok || err != nil {
+		t.Fatalf("pair stream yielded nothing: %v", err)
 	}
 	next, stop := iterPull(db.Nearest(ctx, "P", Pt(9, 9)))
 	defer stop()
@@ -299,7 +297,7 @@ func TestWritersDoNotWaitForReaders(t *testing.T) {
 			break
 		}
 	}
-	it.Stop()
+	stopPairs()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -71,12 +71,10 @@
 //	db.DistanceMatrix(pts)         ->  db.DistanceMatrix(ctx, pts)
 //	db.Cluster("p", copts)         ->  db.Cluster(ctx, "p", copts)
 //	db.DatasetLen("p")             ->  n, err := db.DatasetLen("p") (unknown name errors; see HasDataset)
-//	db.NearestIterator("p", q)     ->  for nb, err := range db.Nearest(ctx, "p", q)
-//	db.ClosestPairIterator(s, t)   ->  for p, err := range db.Closest(ctx, s, t)
 //	db.ResetStats + TreeStats      ->  db.Range(ctx, ..., obstacles.WithStats(&qs))
 //
-// The old iterator structs remain as deprecated wrappers; the global
-// ResetStats/TreeStats counters remain for whole-process accounting.
+// The global ResetStats/TreeStats counters remain for whole-process
+// accounting.
 //
 // See the examples directory for complete programs.
 package obstacles
